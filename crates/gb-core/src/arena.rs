@@ -19,7 +19,7 @@
 use crate::bins::ChargeBins;
 use crate::commplan::CommPlan;
 use crate::integrals::IntegralAcc;
-use crate::interaction::{BornLists, EnergyExecScratch, EnergyLists, ListScratch, RepairStats};
+use crate::interaction::{BornLists, EnergyExecScratch, EnergyLists, ListScratch};
 use crate::system::GbSystem;
 use gb_octree::NodeId;
 use parking_lot::Mutex;
@@ -255,9 +255,6 @@ pub struct Workspace {
     pub cached: Option<Arc<CachedLists>>,
     /// Frame tracking on/off (see [`Workspace::enable_frame_tracking`]).
     frame_tracking: bool,
-    /// Cert slack tolerance of frame repairs (0.0 = exact mode: repaired
-    /// lists are byte-identical to a scratch rebuild).
-    drift_tol: f64,
     /// Frame nonce `self.born` is current for (0 = unknown provenance).
     born_frame_nonce: u64,
     /// Frame nonce `self.energy` is current for (0 = unknown provenance).
@@ -266,46 +263,44 @@ pub struct Workspace {
     born_params_key: u64,
     /// List-shape parameter fingerprint `self.energy` was built with.
     energy_params_key: u64,
-    /// Consecutive frames whose Born lists could not be repaired (density
-    /// bail or missing certs) — drives the untracked-rebuild hysteresis.
-    born_dense_streak: u32,
-    /// Energy-phase counterpart of `born_dense_streak`.
-    energy_dense_streak: u32,
     /// How the last [`Workspace::ready_born_lists`] call was satisfied.
     pub last_born_path: ListPath,
     /// How the last [`Workspace::ready_energy_lists`] call was satisfied.
     pub last_energy_path: ListPath,
-    /// Stats of the last Born-list repair (zeroed shape on other paths).
+    /// Always the empty [`RepairStats`]. Kept because the `perfbench`
+    /// crate still reads it.
     pub last_born_repair: RepairStats,
-    /// Stats of the last energy-list repair (zeroed shape on other paths).
+    /// Always the empty [`RepairStats`]. Kept because the `perfbench`
+    /// crate still reads it.
     pub last_energy_repair: RepairStats,
 }
-
-/// Abort a frame repair once more than this fraction of its certs has
-/// tripped the drift bound: dense trip regimes (global jitter near the MAC
-/// boundary) flip rows everywhere, so finishing the scan plus the rewalk
-/// costs more than rebuilding from scratch.
-const REPAIR_BAIL_TRIPPED: f64 = 0.25;
-
-/// While repairs keep bailing (a *dense streak*), rebuilds run with cert
-/// recording off — recording costs real time and the certs would just bail
-/// again next frame. Every `DENSE_PROBE_PERIOD`-th streak frame rebuilds
-/// tracked anyway, probing whether the motion regime has calmed enough for
-/// repairs to win again.
-const DENSE_PROBE_PERIOD: u32 = 8;
 
 /// How a `ready_*_lists` call made the workspace's lists current.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ListPath {
-    /// Full tree walk (cold start, shape/param change, drift rebuild, or
-    /// frame tracking off).
+    /// Full tree walk (cold start, new frame, shape/param change, or frame
+    /// tracking off).
     Rebuilt,
     /// Cloned from an injected [`CachedLists`] artifact.
     Injected,
-    /// Delta repair of the previous frame's lists.
+    /// Never produced: lists are not repaired, only rebuilt. Kept because
+    /// the `perfbench` crate still matches on it.
     Repaired,
     /// Lists were already current for this exact frame — nothing ran.
     Skipped,
+}
+
+/// Stats of a list repair, which no longer exists: zero-sized, and
+/// [`RepairStats::rewalk_fraction`] is always `0.0`. Kept because the
+/// `perfbench` crate still reads it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RepairStats;
+
+impl RepairStats {
+    /// Always `0.0` (see [`RepairStats`]).
+    pub fn rewalk_fraction(&self) -> f64 {
+        0.0
+    }
 }
 
 impl Workspace {
@@ -336,40 +331,26 @@ impl Workspace {
             build_tasks: 1,
             cached: None,
             frame_tracking: false,
-            drift_tol: 0.0,
             born_frame_nonce: 0,
             energy_frame_nonce: 0,
             born_params_key: 0,
             energy_params_key: 0,
-            born_dense_streak: 0,
-            energy_dense_streak: 0,
             last_born_path: ListPath::Rebuilt,
             last_energy_path: ListPath::Rebuilt,
-            last_born_repair: RepairStats::default(),
-            last_energy_repair: RepairStats::default(),
+            last_born_repair: RepairStats,
+            last_energy_repair: RepairStats,
         }
     }
 
-    /// Turns on incremental frame mode: list builds record repair
-    /// certificates, and subsequent [`Workspace::ready_born_lists`] /
-    /// [`Workspace::ready_energy_lists`] calls *repair* the resident lists
-    /// when the system is one [`GbSystem::refit_frame`] step ahead of them
-    /// (and skip entirely when it is the same frame). `drift_tol == 0.0`
-    /// is exact mode — repaired lists are byte-identical to a scratch
-    /// rebuild; larger tolerances trade re-walked rows for approximation
-    /// (a cert must be violated by more than `drift_tol` before its row is
-    /// re-walked).
+    /// Turns on frame mode: subsequent [`Workspace::ready_born_lists`] /
+    /// [`Workspace::ready_energy_lists`] calls skip the list build when
+    /// the resident lists are already current for the system's frame
+    /// nonce and list parameters, and rebuild them otherwise. Idempotent.
     ///
-    /// Idempotent per frame: once frame mode is on, repeated calls only
-    /// refresh the tolerance — cert recording stays under the dense-streak
-    /// hysteresis (untracked rebuilds while repairs keep bailing).
-    pub fn enable_frame_tracking(&mut self, drift_tol: f64) {
-        if !self.frame_tracking {
-            self.born.set_cert_tracking(true);
-            self.energy.set_cert_tracking(true);
-        }
+    /// The argument is ignored — every frame is exact. It stays because
+    /// the `perfbench` crate still passes it.
+    pub fn enable_frame_tracking(&mut self, _drift_tol: f64) {
         self.frame_tracking = true;
-        self.drift_tol = drift_tol.max(0.0);
     }
 
     /// Whether frame tracking is on.
@@ -401,73 +382,35 @@ impl Workspace {
     }
 
     /// Makes `self.born` current for `sys`: clones from the injected cached
-    /// artifact when present, otherwise rebuilds in place. Every runner
-    /// calls this instead of rebuilding directly, so an injected artifact
-    /// flows through serial, distributed and hybrid paths alike. The two
-    /// branches produce byte-identical lists (builds are deterministic and
-    /// `build_work` travels inside the clone), so work accounting and
-    /// energies cannot observe which branch ran.
+    /// artifact when present, skips when frame tracking is on and the
+    /// lists are already current for `sys`'s frame, and otherwise rebuilds
+    /// in place. Every runner calls this instead of rebuilding directly,
+    /// so an injected artifact flows through serial, distributed and
+    /// hybrid paths alike. All branches leave byte-identical lists (builds
+    /// are deterministic and `build_work` travels inside the clone), so
+    /// work accounting and energies cannot observe which branch ran.
     pub fn ready_born_lists(&mut self, sys: &GbSystem) {
         if let Some(c) = &self.cached {
             debug_assert_eq!(c.born.num_qleaves(), sys.tq.num_leaves(),
                 "injected Born lists were built for a different system");
             self.born.clone_from(&c.born);
-            // Injected artifacts carry no certs; provenance is unknown.
+            // provenance of an injected artifact is unknown
             self.born_frame_nonce = 0;
             self.last_born_path = ListPath::Injected;
             return;
         }
-        if self.frame_tracking {
-            let pkey = sys.params.radii_mac_threshold().to_bits();
-            let current =
-                self.born_frame_nonce != 0 && self.born_params_key == pkey
-                    && self.born.num_qleaves() == sys.tq.num_leaves();
-            if current && self.born_frame_nonce == sys.frame_nonce {
-                self.last_born_path = ListPath::Skipped;
-                return;
-            }
-            let lineage = current
-                && sys.frame_parent_nonce != 0
-                && self.born_frame_nonce == sys.frame_parent_nonce;
-            if lineage
-                && self.born.tracks_certs()
-                && self.born.has_certs()
-                && !self.born.cert_overflow()
-            {
-                if let Some(stats) = self.born.try_repair(
-                    sys,
-                    self.drift_tol,
-                    &mut self.born_scratch,
-                    REPAIR_BAIL_TRIPPED,
-                ) {
-                    self.last_born_repair = stats;
-                    self.born_frame_nonce = sys.frame_nonce;
-                    self.born_dense_streak = 0;
-                    self.last_born_path = ListPath::Repaired;
-                    return;
-                }
-                // Density bail: too many certs tripped to be worth a scan
-                // + rewalk. Fall through to a rebuild and start (or extend)
-                // the dense streak.
-                self.born_dense_streak += 1;
-            } else if lineage {
-                // Valid lineage but no certs (prior untracked rebuild or
-                // overflow): still inside the dense streak.
-                self.born_dense_streak += 1;
-            } else {
-                self.born_dense_streak = 0;
-            }
-            let track = self.born_dense_streak == 0
-                || self.born_dense_streak % DENSE_PROBE_PERIOD == 0;
-            self.born.set_cert_tracking(track);
-            self.born.rebuild(sys, self.build_tasks, &mut self.born_scratch);
-            self.born_frame_nonce = sys.frame_nonce;
-            self.born_params_key = pkey;
-            self.last_born_path = ListPath::Rebuilt;
+        let pkey = sys.params.radii_mac_threshold().to_bits();
+        if self.frame_tracking
+            && self.born_frame_nonce == sys.frame_nonce
+            && self.born_params_key == pkey
+            && self.born.num_qleaves() == sys.tq.num_leaves()
+        {
+            self.last_born_path = ListPath::Skipped;
             return;
         }
         self.born.rebuild(sys, self.build_tasks, &mut self.born_scratch);
-        self.born_frame_nonce = 0;
+        self.born_frame_nonce = if self.frame_tracking { sys.frame_nonce } else { 0 };
+        self.born_params_key = pkey;
         self.last_born_path = ListPath::Rebuilt;
     }
 
@@ -481,52 +424,18 @@ impl Workspace {
             self.last_energy_path = ListPath::Injected;
             return;
         }
-        if self.frame_tracking {
-            let pkey = sys.params.energy_mac_factor().to_bits();
-            let current =
-                self.energy_frame_nonce != 0 && self.energy_params_key == pkey
-                    && self.energy.num_vleaves() == sys.ta.num_leaves();
-            if current && self.energy_frame_nonce == sys.frame_nonce {
-                self.last_energy_path = ListPath::Skipped;
-                return;
-            }
-            let lineage = current
-                && sys.frame_parent_nonce != 0
-                && self.energy_frame_nonce == sys.frame_parent_nonce;
-            if lineage
-                && self.energy.tracks_certs()
-                && self.energy.has_certs()
-                && !self.energy.cert_overflow()
-            {
-                if let Some(stats) = self.energy.try_repair(
-                    sys,
-                    self.drift_tol,
-                    &mut self.energy_scratch,
-                    REPAIR_BAIL_TRIPPED,
-                ) {
-                    self.last_energy_repair = stats;
-                    self.energy_frame_nonce = sys.frame_nonce;
-                    self.energy_dense_streak = 0;
-                    self.last_energy_path = ListPath::Repaired;
-                    return;
-                }
-                self.energy_dense_streak += 1;
-            } else if lineage {
-                self.energy_dense_streak += 1;
-            } else {
-                self.energy_dense_streak = 0;
-            }
-            let track = self.energy_dense_streak == 0
-                || self.energy_dense_streak % DENSE_PROBE_PERIOD == 0;
-            self.energy.set_cert_tracking(track);
-            self.energy.rebuild(sys, self.build_tasks, &mut self.energy_scratch);
-            self.energy_frame_nonce = sys.frame_nonce;
-            self.energy_params_key = pkey;
-            self.last_energy_path = ListPath::Rebuilt;
+        let pkey = sys.params.energy_mac_factor().to_bits();
+        if self.frame_tracking
+            && self.energy_frame_nonce == sys.frame_nonce
+            && self.energy_params_key == pkey
+            && self.energy.num_vleaves() == sys.ta.num_leaves()
+        {
+            self.last_energy_path = ListPath::Skipped;
             return;
         }
         self.energy.rebuild(sys, self.build_tasks, &mut self.energy_scratch);
-        self.energy_frame_nonce = 0;
+        self.energy_frame_nonce = if self.frame_tracking { sys.frame_nonce } else { 0 };
+        self.energy_params_key = pkey;
         self.last_energy_path = ListPath::Rebuilt;
     }
 
@@ -629,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_steps_repair_and_match_scratch_rebuild_bitwise() {
+    fn frame_steps_rebuild_and_match_scratch_bitwise() {
         use crate::runners::frame::run_frame_serial;
         use crate::system::FrameUpdate;
         use gb_geom::{DetRng, Vec3};
@@ -637,12 +546,12 @@ mod tests {
         let mut s = sys(320);
         let mut ws = Workspace::new();
         ws.enable_frame_tracking(0.0);
-        // Frame 0: cold start → tracked rebuild.
+        // Frame 0: cold start → rebuild.
         run_serial_ws(&s, &mut ws);
         assert_eq!(ws.last_born_path, ListPath::Rebuilt);
         assert_eq!(ws.last_energy_path, ListPath::Rebuilt);
         // Same frame again → both phases skip.
-        let again = run_serial_ws(&s, &mut ws);
+        run_serial_ws(&s, &mut ws);
         assert_eq!(ws.last_born_path, ListPath::Skipped);
         assert_eq!(ws.last_energy_path, ListPath::Skipped);
 
@@ -654,53 +563,16 @@ mod tests {
                 .iter()
                 .map(|&p| p + Vec3::new(rng.normal(), rng.normal(), rng.normal()) * 0.005)
                 .collect();
-            let out = run_frame_serial(&mut s, &jittered, 0.0, &mut ws);
+            let out = run_frame_serial(&mut s, &jittered, &mut ws);
             match out.update {
                 FrameUpdate::Refit(_) => {}
                 FrameUpdate::Rebuilt => panic!("0.005 Å jitter must not force a rebuild"),
             }
-            assert_eq!(ws.last_born_path, ListPath::Repaired, "frame {frame}");
-            assert_eq!(ws.last_energy_path, ListPath::Repaired, "frame {frame}");
-
-            // Exact mode: the incremental frame is bitwise identical to a
-            // cold workspace run over the very same refitted system.
-            let cold = run_serial_ws(&s, &mut Workspace::new());
-            assert_eq!(
-                out.output.energy_kcal.to_bits(),
-                cold.energy_kcal.to_bits(),
-                "frame {frame}"
-            );
-            let _ = again;
-        }
-    }
-
-    #[test]
-    fn dense_frames_rebuild_untracked_until_probe_rearms_repair() {
-        use crate::runners::frame::run_frame_serial;
-        use gb_geom::{DetRng, Vec3};
-
-        let mut s = sys(320);
-        let mut ws = Workspace::new();
-        ws.enable_frame_tracking(0.0);
-        run_serial_ws(&s, &mut ws);
-
-        // Dense regime: global 0.05 Å jitter trips more than the bail
-        // fraction of certs, so every repair attempt aborts to a rebuild.
-        // Streak frames 1..7 rebuild untracked (no cert recording); streak
-        // frame 8 is the probe and records certs again.
-        let mut rng = DetRng::new(7);
-        for frame in 1..=(DENSE_PROBE_PERIOD as usize) {
-            let jittered: Vec<Vec3> = s
-                .molecule
-                .positions()
-                .iter()
-                .map(|&p| p + Vec3::new(rng.normal(), rng.normal(), rng.normal()) * 0.05)
-                .collect();
-            let out = run_frame_serial(&mut s, &jittered, 0.0, &mut ws);
             assert_eq!(ws.last_born_path, ListPath::Rebuilt, "frame {frame}");
-            let expect_tracked = frame == DENSE_PROBE_PERIOD as usize;
-            assert_eq!(ws.born.tracks_certs(), expect_tracked, "frame {frame}");
-            // Dense or calm, tracked or not: bitwise equal to a cold run.
+            assert_eq!(ws.last_energy_path, ListPath::Rebuilt, "frame {frame}");
+
+            // The warm frame is bitwise identical to a cold workspace run
+            // over the very same refitted system.
             let cold = run_serial_ws(&s, &mut Workspace::new());
             assert_eq!(
                 out.output.energy_kcal.to_bits(),
@@ -708,67 +580,6 @@ mod tests {
                 "frame {frame}"
             );
         }
-
-        // The regime calms right after the probe: the probe's certs carry a
-        // successful repair, which resets the dense streak.
-        for frame in 0..2 {
-            let nudged: Vec<Vec3> = s
-                .molecule
-                .positions()
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    let t = i as f64 * 0.41;
-                    p + Vec3::new(t.sin(), (1.3 * t).cos(), (0.8 * t).sin()) * 0.0005
-                })
-                .collect();
-            let out = run_frame_serial(&mut s, &nudged, 0.0, &mut ws);
-            assert_eq!(ws.last_born_path, ListPath::Repaired, "calm frame {frame}");
-            assert_eq!(ws.last_energy_path, ListPath::Repaired, "calm frame {frame}");
-            let cold = run_serial_ws(&s, &mut Workspace::new());
-            assert_eq!(
-                out.output.energy_kcal.to_bits(),
-                cold.energy_kcal.to_bits(),
-                "calm frame {frame}"
-            );
-        }
-    }
-
-    #[test]
-    fn frame_repair_bills_less_build_work_than_rebuild() {
-        use crate::runners::frame::run_frame_serial;
-        use gb_geom::{DetRng, Vec3};
-
-        let mut s = sys(500);
-        let mut ws = Workspace::new();
-        ws.enable_frame_tracking(0.0);
-        run_serial_ws(&s, &mut ws);
-        let full_build = ws.born.build_work + ws.energy.build_work;
-        // Localized motion: only a spatially contiguous blob moves (a
-        // flexible loop in an otherwise rigid structure) — the dirty
-        // subtrees stay small and so does the rewalked row set.
-        let mut rng = DetRng::new(6);
-        let center = s.molecule.positions()[0];
-        let jittered: Vec<Vec3> = s
-            .molecule
-            .positions()
-            .iter()
-            .map(|&p| {
-                if p.dist_sq(center) < 9.0 {
-                    p + Vec3::new(rng.normal(), rng.normal(), rng.normal()) * 0.001
-                } else {
-                    p
-                }
-            })
-            .collect();
-        run_frame_serial(&mut s, &jittered, 0.0, &mut ws);
-        assert_eq!(ws.last_born_path, ListPath::Repaired);
-        let repair_build = ws.born.build_work + ws.energy.build_work;
-        assert!(
-            repair_build < full_build,
-            "repair walk {repair_build} should undercut full build {full_build}"
-        );
-        assert!(ws.last_born_repair.rows_rewalked < ws.last_born_repair.rows_total);
     }
 
     #[test]
@@ -779,7 +590,7 @@ mod tests {
         run_serial_ws(&s, &mut ws);
         assert_eq!(ws.last_born_path, ListPath::Rebuilt);
         // Different MAC ⇒ the resident lists describe the wrong geometry
-        // predicate; a skip or repair would be unsound.
+        // predicate; a skip would be unsound.
         s.params = GbParams::default().with_epsilons(0.7, 0.7);
         run_serial_ws(&s, &mut ws);
         assert_eq!(ws.last_born_path, ListPath::Rebuilt);

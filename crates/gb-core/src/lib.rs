@@ -67,7 +67,7 @@ pub use arena::{CachedLists, ListPath, Workspace};
 pub use commplan::{CommMode, CommPlan};
 pub use contenthash::{molecule_key, params_key, system_key};
 pub use error::{percent_error, ErrorStats, GbError};
-pub use interaction::{BornLists, EnergyExecScratch, EnergyLists, FarStats, RepairStats};
+pub use interaction::{BornLists, EnergyExecScratch, EnergyLists, FarStats};
 pub use gbmath::COULOMB_KCAL;
 pub use pair::{evaluate_pair, evaluate_pair_ws, Monomer, PairOutcome, PairScratch};
 pub use params::{GbParams, MathKind, RadiiKind};

@@ -260,14 +260,13 @@ pub fn evaluate_pair_ws(
         let pa = sa.ta.points();
         let pb = tb_a.points();
         let mut raw_cross = 0.0;
-        for i in 0..na {
-            let xi = pa[i];
-            let qi = sa.charge_tree[i];
-            let ri = scratch.radii_a[i];
+        let rows = pa.iter().zip(&sa.charge_tree).zip(&scratch.radii_a).take(na);
+        for ((&xi, &qi), &ri) in rows {
             let mut row = 0.0;
-            for j in 0..nb {
-                let d2 = (xi - pb[j]).norm_sq();
-                row += sb.charge_tree[j] * inv_f_gb::<M>(d2, ri * scratch.radii_b[j]);
+            let cols = pb.iter().zip(&sb.charge_tree).zip(&scratch.radii_b).take(nb);
+            for ((&xj, &qj), &rj) in cols {
+                let d2 = (xi - xj).norm_sq();
+                row += qj * inv_f_gb::<M>(d2, ri * rj);
             }
             raw_cross += qi * row;
         }

@@ -1,18 +1,17 @@
 //! Frame-stepped runner entry points — the trajectory fast path.
 //!
-//! A frame step is: [`GbSystem::refit_frame`] once (slack-margin tree
-//! refit, surface riding rigidly on its owning atoms), then the regular
-//! workspace pipeline, whose `ready_*_lists` calls now *repair* the
-//! resident interaction lists from the recorded certificates instead of
-//! re-walking both trees. With `drift_tol == 0.0` (exact mode) every
-//! repaired structure is byte-identical to a scratch rebuild, so a frame
-//! step's energy is `to_bits()`-equal to preparing the refitted geometry
-//! from the same tree topology and running cold — only faster.
+//! A frame step is: [`GbSystem::refit_frame`] once (in-place tree refit,
+//! surface riding rigidly on its owning atoms), then the regular workspace
+//! pipeline, whose `ready_*_lists` calls rebuild the interaction lists
+//! over the warm workspace buffers. The frame skips `prepare` and every
+//! cold allocation, and its energy is `to_bits()`-equal to a cold
+//! workspace run over the same refitted system. A second run of the same
+//! frame finds its lists current by frame nonce and skips the list builds.
 //!
 //! When the accumulated drift forces a tree rebuild, the step degrades
-//! gracefully: [`FrameUpdate::Rebuilt`] cuts the frame lineage, the
-//! workspaces notice the parent-nonce mismatch and fall back to full list
-//! builds. Callers never branch on it for correctness — only telemetry.
+//! gracefully: [`FrameUpdate::Rebuilt`] re-prepares the system, and the
+//! lists are rebuilt as on any other frame. Callers never branch on it for
+//! correctness — only telemetry.
 
 use crate::arena::Workspace;
 use crate::arena::WsOutput;
@@ -48,46 +47,45 @@ pub struct ClusterFrameOutcome {
     pub report: RunReport,
 }
 
-/// Advances `sys` to `new_positions` and runs the serial pipeline
-/// incrementally over `ws` (see the module docs). `drift_tol == 0.0` is
-/// exact mode.
+/// Advances `sys` to `new_positions` and runs the serial pipeline over the
+/// warm `ws` (see the module docs).
 pub fn run_frame_serial(
     sys: &mut GbSystem,
     new_positions: &[Vec3],
-    drift_tol: f64,
     ws: &mut Workspace,
 ) -> FrameOutcome {
     let update = sys.refit_frame(new_positions);
-    ws.enable_frame_tracking(drift_tol);
+    ws.enable_frame_tracking(0.0);
     let output = run_serial_ws(sys, ws);
     FrameOutcome { update, output }
 }
 
 /// [`run_frame_serial`] on the shared-memory (rayon) pipeline.
+///
+/// The `f64` argument is ignored — every frame is exact. It stays because
+/// the `perfbench` crate still passes it.
 pub fn run_frame_shared(
     sys: &mut GbSystem,
     new_positions: &[Vec3],
-    drift_tol: f64,
+    _drift_tol: f64,
     ws: &mut Workspace,
 ) -> FrameOutcome {
     let update = sys.refit_frame(new_positions);
-    ws.enable_frame_tracking(drift_tol);
+    ws.enable_frame_tracking(0.0);
     let output = run_shared_ws(sys, ws);
     FrameOutcome { update, output }
 }
 
 /// [`run_frame_serial`] on the distributed 7-step pipeline: every rank's
-/// workspace repairs its replicated lists locally (the repair is
-/// deterministic, so rank segments agree without communication, exactly
-/// like the replicated full build). The cached [`CommPlan`] revalidates by
-/// list content key, so a frame whose repair changes no rows reuses the
-/// plan outright.
+/// workspace rebuilds its replicated lists locally (the build is
+/// deterministic, so rank segments agree without communication). The
+/// cached [`CommPlan`] revalidates by list content key, so a frame whose
+/// rebuilt lists come out unchanged reuses the plan outright.
 ///
 /// [`CommPlan`]: crate::commplan::CommPlan
 pub fn try_run_frame_distributed(
     sys: &mut GbSystem,
     new_positions: &[Vec3],
-    drift_tol: f64,
     cluster: &SimCluster,
     ranks: usize,
     division: WorkDivision,
@@ -96,7 +94,7 @@ pub fn try_run_frame_distributed(
 ) -> Result<ClusterFrameOutcome, GbError> {
     let update = sys.refit_frame(new_positions);
     for ws in workspaces.iter().take(ranks) {
-        ws.lock().enable_frame_tracking(drift_tol);
+        ws.lock().enable_frame_tracking(0.0);
     }
     let (result, report) =
         try_run_distributed_ws_mode(sys, cluster, ranks, division, mode, workspaces)?;
@@ -109,7 +107,6 @@ pub fn try_run_frame_distributed(
 pub fn try_run_frame_hybrid(
     sys: &mut GbSystem,
     new_positions: &[Vec3],
-    drift_tol: f64,
     cluster: &SimCluster,
     ranks: usize,
     threads_per_rank: usize,
@@ -119,7 +116,7 @@ pub fn try_run_frame_hybrid(
 ) -> Result<ClusterFrameOutcome, GbError> {
     let update = sys.refit_frame(new_positions);
     for ws in workspaces.iter().take(ranks) {
-        ws.lock().enable_frame_tracking(drift_tol);
+        ws.lock().enable_frame_tracking(0.0);
     }
     let (result, report) = try_run_hybrid_ws_mode(
         sys,

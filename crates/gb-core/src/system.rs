@@ -51,8 +51,8 @@ impl FrameScratch {
 #[derive(Clone, Copy, Debug)]
 pub enum FrameUpdate {
     /// Both trees were refitted in place — topology, permutations and all
-    /// derived per-point attributes survive; interaction lists can be
-    /// repaired instead of rebuilt.
+    /// derived per-point attributes survive; only the interaction lists
+    /// need rebuilding.
     Refit(RefitSummary),
     /// Accumulated drift crossed the rebuild threshold: the system was
     /// fully re-prepared (fresh surface, fresh trees, new topology).
@@ -108,7 +108,7 @@ pub struct GbSystem {
     /// geometry" by nonce equality alone.
     pub frame_nonce: u64,
     /// The frame this geometry was refitted *from* (0 = freshly prepared
-    /// or rebuilt — nothing derived from an older frame is repairable).
+    /// or rebuilt — the frame lineage is cut).
     pub frame_parent_nonce: u64,
     /// Reusable frame-update scratch.
     frame_scratch: FrameScratch,
@@ -208,9 +208,10 @@ impl GbSystem {
     /// and tree topology, permutations and all permuted per-point
     /// attributes (charges, radii, weights, normals, `ñ_Q` aggregates)
     /// survive untouched. Only positions — `ta`/`tq` geometry and the SoA
-    /// mirrors — change. `frame_parent_nonce` then names the frame the
-    /// geometry came from, which is what lets [`crate::arena::Workspace`]
-    /// *repair* interaction lists instead of rebuilding them.
+    /// mirrors — change. The fresh `frame_nonce` tells a
+    /// [`crate::arena::Workspace`] that its resident interaction lists are
+    /// stale, and `frame_parent_nonce` names the frame the geometry came
+    /// from.
     ///
     /// When accumulated drift makes refitted bounds too loose
     /// ([`Octree::needs_rebuild`] at ratio 1.5 on either tree), the system

@@ -1,11 +1,10 @@
-//! Frame-over-frame incremental recompute, end to end: after a
-//! [`GbSystem::refit_frame`] step, workspaces *repair* their interaction
-//! lists from the recorded certificates — and in exact mode
-//! (`drift_tol == 0`) every runner, comm mode and rank count must produce
-//! the same `to_bits()` energy and radii as a cold scratch run over the
-//! very same refitted system. Also covered: mid-frame rank kills healing
-//! onto repaired (not stale pre-repair) lists, and CommPlan reuse across
-//! no-flip frames.
+//! Frame-over-frame recompute, end to end: after a
+//! [`GbSystem::refit_frame`] step, warm workspaces rebuild their
+//! interaction lists, and every runner, comm mode and rank count must
+//! produce the same `to_bits()` energy and radii as a cold scratch run
+//! over the very same refitted system. Also covered: mid-frame rank kills
+//! healing onto the frame's lists (not the previous frame's), and CommPlan
+//! reuse across identity frames.
 
 use gb_cluster::{FaultPlan, SimCluster};
 use gb_core::arena::{ListPath, Workspace};
@@ -42,11 +41,11 @@ fn frame_pool(ranks: usize) -> Vec<Mutex<Workspace>> {
         .collect()
 }
 
-/// Exact-mode repaired frames: serial, shared, and distributed
-/// (Dense/Sparse × P ∈ {2, 4, 8}) all agree bit for bit with a cold
-/// scratch run over the same refitted system, frame after frame.
+/// Warm frames: serial, shared, and distributed (Dense/Sparse ×
+/// P ∈ {2, 4, 8}) all agree bit for bit with a cold scratch run over the
+/// same refitted system, frame after frame.
 #[test]
-fn repaired_frames_bitwise_across_runners_comm_modes_and_ranks() {
+fn warm_frames_bitwise_across_runners_comm_modes_and_ranks() {
     let mut sys = prepare(500, 91);
     let cluster = SimCluster::single_node();
     let mut serial_ws = Workspace::new();
@@ -57,7 +56,7 @@ fn repaired_frames_bitwise_across_runners_comm_modes_and_ranks() {
         [2usize, 4, 8].iter().map(|&p| (p, frame_pool(p))).collect();
     let hybrid_pool = frame_pool(2);
 
-    // Frame 0: cold tracked builds everywhere.
+    // Frame 0: cold builds everywhere.
     run_serial_ws(&sys, &mut serial_ws);
     run_shared_ws(&sys, &mut shared_ws);
     for (p, pool) in &pools {
@@ -80,22 +79,22 @@ fn repaired_frames_bitwise_across_runners_comm_modes_and_ranks() {
         }
 
         let reference = run_serial_ws(&sys, &mut serial_ws);
-        assert_eq!(serial_ws.last_born_path, ListPath::Repaired, "frame {frame}");
-        assert_eq!(serial_ws.last_energy_path, ListPath::Repaired, "frame {frame}");
+        assert_eq!(serial_ws.last_born_path, ListPath::Rebuilt, "frame {frame}");
+        assert_eq!(serial_ws.last_energy_path, ListPath::Rebuilt, "frame {frame}");
 
         // Cold scratch rebuild over the *same* refitted system is the
-        // ground truth the repaired pipeline must reproduce exactly.
+        // ground truth the warm pipeline must reproduce exactly.
         let cold = run_serial_ws(&sys, &mut Workspace::new());
         assert_eq!(
             reference.energy_kcal.to_bits(),
             cold.energy_kcal.to_bits(),
-            "frame {frame}: repaired serial vs scratch"
+            "frame {frame}: warm serial vs scratch"
         );
 
         // Shared merges chunk partials, so it matches serial to roundoff
-        // (its standing contract), and must itself take the repair path.
+        // (its standing contract), and must itself rebuild for the frame.
         let shared = run_shared_ws(&sys, &mut shared_ws);
-        assert_eq!(shared_ws.last_born_path, ListPath::Repaired, "frame {frame}");
+        assert_eq!(shared_ws.last_born_path, ListPath::Rebuilt, "frame {frame}");
         assert!(
             (reference.energy_kcal - shared.energy_kcal).abs()
                 < 1e-12 * reference.energy_kcal.abs(),
@@ -105,13 +104,13 @@ fn repaired_frames_bitwise_across_runners_comm_modes_and_ranks() {
         );
 
         for (p, pool) in &pools {
-            // Dense and sparse over the repaired lists must stay mutually
+            // Dense and sparse over the frame's lists must stay mutually
             // bitwise (the standing comm-mode guarantee)…
             let (dense, _) = try_run_distributed_ws_mode(
                 &sys, &cluster, *p, WorkDivision::NodeNode, CommMode::Dense, pool,
             )
             .unwrap_or_else(|e| panic!("frame {frame} P={p} Dense: {e}"));
-            assert_eq!(pool[0].lock().last_born_path, ListPath::Repaired, "P={p}");
+            assert_eq!(pool[0].lock().last_born_path, ListPath::Rebuilt, "P={p}");
             let (sparse, _) = try_run_distributed_ws_mode(
                 &sys, &cluster, *p, WorkDivision::NodeNode, CommMode::Sparse, pool,
             )
@@ -128,8 +127,8 @@ fn repaired_frames_bitwise_across_runners_comm_modes_and_ranks() {
                 "frame {frame} P={p}: dense vs sparse"
             );
 
-            // Repaired frame == cold scratch workspaces at the SAME (P,
-            // mode), bit for bit — repair is invisible to the pipeline.
+            // Warm frame == cold scratch workspaces at the SAME (P, mode),
+            // bit for bit — warm buffers are invisible to the pipeline.
             let cold_pool: Vec<Mutex<Workspace>> =
                 (0..*p).map(|_| Mutex::new(Workspace::new())).collect();
             let (scratch, _) = try_run_distributed_ws_mode(
@@ -139,13 +138,13 @@ fn repaired_frames_bitwise_across_runners_comm_modes_and_ranks() {
             assert_eq!(
                 sparse.energy_kcal.to_bits(),
                 scratch.energy_kcal.to_bits(),
-                "frame {frame} P={p}: repaired vs scratch"
+                "frame {frame} P={p}: warm vs scratch"
             );
             for (i, (a, b)) in sparse.born_radii.iter().zip(&scratch.born_radii).enumerate() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "frame {frame} P={p}: repaired vs scratch radius {i}"
+                    "frame {frame} P={p}: warm vs scratch radius {i}"
                 );
             }
 
@@ -160,12 +159,12 @@ fn repaired_frames_bitwise_across_runners_comm_modes_and_ranks() {
             );
         }
 
-        // Hybrid repairs too; cross-runner agreement is to roundoff.
+        // Hybrid rebuilds too; cross-runner agreement is to roundoff.
         let (hyb, _) = try_run_hybrid_ws_mode(
             &sys, &cluster, 2, 1, WorkDivision::NodeNode, CommMode::Sparse, &hybrid_pool,
         )
         .unwrap_or_else(|e| panic!("frame {frame} hybrid: {e}"));
-        assert_eq!(hybrid_pool[0].lock().last_born_path, ListPath::Repaired);
+        assert_eq!(hybrid_pool[0].lock().last_born_path, ListPath::Rebuilt);
         assert!(
             (reference.energy_kcal - hyb.energy_kcal).abs()
                 < 1e-12 * reference.energy_kcal.abs(),
@@ -176,15 +175,15 @@ fn repaired_frames_bitwise_across_runners_comm_modes_and_ranks() {
     }
 }
 
-/// A rank killed mid-frame must heal onto the *repaired* lists — the
+/// A rank killed mid-frame must heal onto the frame's own lists — the
 /// superstep checkpoints and the replay must reproduce the fault-free
-/// repaired frame bit for bit (never resurrect pre-repair state).
+/// frame bit for bit (never resurrect the previous frame's state).
 #[test]
-fn mid_frame_rank_kill_heals_onto_repaired_lists() {
+fn mid_frame_rank_kill_heals_onto_the_frames_lists() {
     let p = 4;
     let victim = 1;
     // Two identical warm pools: one plays the clean frame, the other the
-    // faulted one, so both enter the frame with the same repaired state.
+    // faulted one, so both enter the frame with the same state.
     let clean_pool = frame_pool(p);
     let faulty_pool = frame_pool(p);
     let clean_cluster = SimCluster::single_node();
@@ -208,11 +207,11 @@ fn mid_frame_rank_kill_heals_onto_repaired_lists() {
         &sys, &clean_cluster, p, WorkDivision::NodeNode, CommMode::Sparse, &clean_pool,
     )
     .expect("clean frame 1");
-    assert_eq!(clean_pool[0].lock().last_born_path, ListPath::Repaired);
+    assert_eq!(clean_pool[0].lock().last_born_path, ListPath::Rebuilt);
 
     // Early, mid and late kill sites in the victim's op stream: replays
     // exercise full recompute and both checkpoint restore paths, all on a
-    // workspace whose lists were repaired at attempt 0 of this same frame.
+    // workspace whose lists were rebuilt at attempt 0 of this same frame.
     let ops = clean_report.ledgers[victim].ops_started;
     let mut healed_once = false;
     for at_op in [0, ops / 2, ops.saturating_sub(1)] {
@@ -237,10 +236,11 @@ fn mid_frame_rank_kill_heals_onto_repaired_lists() {
     assert!(healed_once);
 }
 
-/// A frame whose repair changes nothing (identity refit) must reuse the
-/// cached CommPlan outright — provable via the plan's rebuild counter.
+/// A frame whose rebuilt lists come out unchanged (identity refit) must
+/// reuse the cached CommPlan outright — provable via the plan's rebuild
+/// counter.
 #[test]
-fn commplan_survives_no_flip_frames() {
+fn commplan_survives_identity_frames() {
     let p = 3;
     let pool = frame_pool(p);
     let cluster = SimCluster::single_node();
@@ -253,8 +253,9 @@ fn commplan_survives_no_flip_frames() {
     let rebuilds_after_cold: Vec<u64> =
         pool.iter().map(|ws| ws.lock().plan.rebuilds()).collect();
     assert!(rebuilds_after_cold.iter().all(|&r| r >= 1));
+    let key = pool[0].lock().born.content_key();
 
-    // Identity frame: same positions, new nonce — lists repair to an
+    // Identity frame: same positions, new nonce — lists rebuild to an
     // unchanged structure, so the plan's content key still matches.
     let same = sys.molecule.positions().to_vec();
     match sys.refit_frame(&same) {
@@ -267,8 +268,8 @@ fn commplan_survives_no_flip_frames() {
     .expect("identity frame");
     for (r, ws) in rebuilds_after_cold.iter().zip(&pool) {
         let ws = ws.lock();
-        assert_eq!(ws.last_born_path, ListPath::Repaired);
-        assert_eq!(ws.last_born_repair.rows_rewalked, 0, "identity repair re-walked rows");
+        assert_eq!(ws.last_born_path, ListPath::Rebuilt);
+        assert_eq!(ws.born.content_key(), key, "identity frame changed the lists");
         assert_eq!(
             ws.plan.rebuilds(),
             *r,

@@ -17,6 +17,9 @@ pub enum ParseError {
     TooFewFields { line: usize },
     /// A numeric field failed to parse.
     BadNumber { line: usize, field: &'static str },
+    /// A numeric field parsed but its value is unusable: a non-finite
+    /// coordinate or charge, or a radius that is not positive.
+    InvalidValue { line: usize, field: &'static str },
     /// The XYZ header count did not match the number of atom lines.
     CountMismatch { expected: usize, actual: usize },
 }
@@ -28,6 +31,12 @@ impl std::fmt::Display for ParseError {
             ParseError::BadNumber { line, field } => {
                 write!(f, "line {line}: bad number in field {field}")
             }
+            ParseError::InvalidValue { line, field: "radius" } => {
+                write!(f, "line {line}: radius must be finite and positive")
+            }
+            ParseError::InvalidValue { line, field } => {
+                write!(f, "line {line}: field {field} must be finite")
+            }
             ParseError::CountMismatch { expected, actual } => {
                 write!(f, "xyz count mismatch: header says {expected}, found {actual}")
             }
@@ -37,9 +46,22 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Parses one numeric field of line `line`, rejecting non-finite values
+/// (`NaN`, `inf`), which `f64::from_str` accepts.
+fn finite(s: &str, line: usize, field: &'static str) -> Result<f64, ParseError> {
+    let v = s.parse::<f64>().map_err(|_| ParseError::BadNumber { line, field })?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(ParseError::InvalidValue { line, field })
+    }
+}
+
 /// Parses whitespace-delimited PQR text.
 ///
 /// Only `ATOM` / `HETATM` records are read; everything else is skipped.
+/// Coordinates and charges must be finite and radii positive
+/// ([`ParseError::InvalidValue`] otherwise).
 /// Fields: `ATOM serial name resName resSeq x y z charge radius` (the
 /// `chainID` column, when present, is tolerated by counting from the end:
 /// the last two fields are always charge and radius, the three before them
@@ -63,14 +85,14 @@ pub fn parse_pqr(name: &str, text: &str) -> Result<Molecule, ParseError> {
         let z_s = fields.pop().unwrap();
         let y_s = fields.pop().unwrap();
         let x_s = fields.pop().unwrap();
-        let num = |s: &str, field: &'static str| {
-            s.parse::<f64>().map_err(|_| ParseError::BadNumber { line: line_1, field })
-        };
-        let x = num(x_s, "x")?;
-        let y = num(y_s, "y")?;
-        let z = num(z_s, "z")?;
-        let charge = num(charge_s, "charge")?;
-        let radius = num(radius_s, "radius")?;
+        let x = finite(x_s, line_1, "x")?;
+        let y = finite(y_s, line_1, "y")?;
+        let z = finite(z_s, line_1, "z")?;
+        let charge = finite(charge_s, line_1, "charge")?;
+        let radius = finite(radius_s, line_1, "radius")?;
+        if radius <= 0.0 {
+            return Err(ParseError::InvalidValue { line: line_1, field: "radius" });
+        }
         // atom-name field (index 2) leads with the element symbol
         let element = fields.get(2).map_or(Element::Other, |s| Element::from_symbol(s));
         mol.push(Atom { position: gb_geom::Vec3::new(x, y, z), radius, charge, element });
@@ -101,6 +123,7 @@ pub fn write_pqr(mol: &Molecule) -> String {
 
 /// Parses XYZ text: first line atom count, second a comment, then
 /// `element x y z` lines. Radii come from Bondi values; charges are zero.
+/// Coordinates must be finite ([`ParseError::InvalidValue`] otherwise).
 pub fn parse_xyz(name: &str, text: &str) -> Result<Molecule, ParseError> {
     let mut lines = text.lines().enumerate();
     let expected = match lines.next() {
@@ -121,13 +144,10 @@ pub fn parse_xyz(name: &str, text: &str) -> Result<Molecule, ParseError> {
         if fields.len() < 4 {
             return Err(ParseError::TooFewFields { line: line_1 });
         }
-        let num = |s: &str, field: &'static str| {
-            s.parse::<f64>().map_err(|_| ParseError::BadNumber { line: line_1, field })
-        };
         let element = Element::from_symbol(fields[0]);
-        let x = num(fields[1], "x")?;
-        let y = num(fields[2], "y")?;
-        let z = num(fields[3], "z")?;
+        let x = finite(fields[1], line_1, "x")?;
+        let y = finite(fields[2], line_1, "y")?;
+        let z = finite(fields[3], line_1, "z")?;
         mol.push(Atom::of_element(element, gb_geom::Vec3::new(x, y, z), 0.0));
     }
     if mol.len() != expected {
@@ -212,6 +232,45 @@ mod tests {
     fn pqr_error_on_bad_number() {
         let text = "ATOM 1 C MOL 1 0.0 zzz 0.0 0.1 1.7\n";
         assert!(matches!(parse_pqr("t", text), Err(ParseError::BadNumber { line: 1, field: "y" })));
+    }
+
+    #[test]
+    fn pqr_rejects_nan_coordinate() {
+        let text = "ATOM 1 C MOL 1 0.0 NaN 0.0 0.1 1.7\n";
+        assert_eq!(
+            parse_pqr("t", text).unwrap_err(),
+            ParseError::InvalidValue { line: 1, field: "y" }
+        );
+    }
+
+    #[test]
+    fn pqr_rejects_infinite_charge() {
+        let text = "REMARK x\nATOM 1 C MOL 1 0.0 0.0 0.0 inf 1.7\n";
+        assert_eq!(
+            parse_pqr("t", text).unwrap_err(),
+            ParseError::InvalidValue { line: 2, field: "charge" }
+        );
+    }
+
+    #[test]
+    fn pqr_rejects_non_positive_radius() {
+        for r in ["-1.2", "0.0"] {
+            let text = format!("ATOM 1 C MOL 1 0.0 0.0 0.0 0.1 {r}\n");
+            assert_eq!(
+                parse_pqr("t", &text).unwrap_err(),
+                ParseError::InvalidValue { line: 1, field: "radius" },
+                "radius {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn xyz_rejects_infinite_coordinate() {
+        let text = "1\nc\nC 0.0 0.0 -inf\n";
+        assert_eq!(
+            parse_xyz("t", text).unwrap_err(),
+            ParseError::InvalidValue { line: 3, field: "z" }
+        );
     }
 
     #[test]

@@ -42,7 +42,6 @@ fn build_impl(input: &[Vec3], leaf_cap: usize, parallel: bool) -> Octree {
             leaves: Vec::new(),
             bbox: Aabb::EMPTY,
             leaf_cap,
-            cum_disp: Vec::new(),
         };
     }
 
@@ -61,7 +60,6 @@ fn build_impl(input: &[Vec3], leaf_cap: usize, parallel: bool) -> Octree {
         leaves: Vec::new(),
         bbox,
         leaf_cap,
-        cum_disp: Vec::new(),
     };
 
     tree.nodes.push(Node {

@@ -7,11 +7,9 @@
 //! radius, loose bbox) need recomputation. [`Octree::refit_with`] does that
 //! incrementally: a single O(M) displacement pass finds the dirty leaves,
 //! and only dirty subtrees recompute their summaries (an identity update
-//! touches nothing). It also maintains the per-node *accumulated* maximum
-//! displacement ([`Octree::drift`]) that the interaction-list repair path
-//! uses to decide which stale walk certificates can have flipped.
-//! [`Octree::needs_rebuild`] reports when drift has degraded leaf occupancy
-//! enough that a fresh [`Octree::build`] is worth it.
+//! touches nothing). [`Octree::needs_rebuild`] reports when drift has
+//! degraded leaf occupancy enough that a fresh [`Octree::build`] is worth
+//! it.
 
 use crate::tree::Octree;
 use gb_geom::{Aabb, Vec3};
@@ -60,8 +58,7 @@ impl Octree {
     /// scratch: only subtrees that actually contain a moved point recompute
     /// their summaries, so an identity update is a single O(M) comparison
     /// pass and a perturbation pays O(moved log M + dirty-subtree sizes)
-    /// instead of the old unconditional O(M log M). Also accumulates each
-    /// node's maximum point displacement into [`Octree::drift`].
+    /// instead of the old unconditional O(M log M).
     pub fn refit_with(&mut self, new_positions: &[Vec3], scratch: &mut RefitScratch) -> RefitReport {
         assert_eq!(
             new_positions.len(),
@@ -71,7 +68,6 @@ impl Octree {
         let nn = self.nodes.len();
         scratch.disp.clear();
         scratch.disp.resize(nn, 0.0);
-        self.cum_disp.resize(nn, 0.0);
 
         // Leaf pass: move points and record each leaf's max displacement.
         let mut dirty_leaves = 0usize;
@@ -110,7 +106,6 @@ impl Octree {
                 continue;
             }
             dirty_nodes += 1;
-            self.cum_disp[id] += scratch.disp[id];
             let range = self.nodes[id].range();
             let slice = &self.points[range];
             let mut c = Vec3::ZERO;
@@ -136,15 +131,6 @@ impl Octree {
             max_displacement: scratch.disp.first().copied().unwrap_or(0.0),
             dirty_nodes,
             dirty_leaves,
-        }
-    }
-
-    /// Resets the accumulated drift to zero (every node reads as freshly
-    /// built). Interaction-list certificates recorded *before* this call
-    /// must be discarded — their budgets are anchored to the old origin.
-    pub fn reset_drift(&mut self) {
-        for d in &mut self.cum_disp {
-            *d = 0.0;
         }
     }
 
@@ -195,7 +181,6 @@ fn ancestors_of(tree: &Octree, target: crate::node::NodeId) -> Vec<crate::node::
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeId;
     use gb_geom::DetRng;
 
     fn cloud(n: usize, seed: u64) -> Vec<Vec3> {
@@ -233,9 +218,6 @@ mod tests {
             assert_eq!(a.centroid, b.centroid);
             assert_eq!(a.radius.to_bits(), b.radius.to_bits());
         }
-        for id in 0..t.num_nodes() {
-            assert_eq!(t.drift(id as NodeId), 0.0);
-        }
     }
 
     #[test]
@@ -257,31 +239,7 @@ mod tests {
         assert_eq!(report.dirty_leaves, 1);
         assert_eq!(report.dirty_nodes, chain.len(), "exactly the root chain is dirty");
         assert!((report.max_displacement - 0.5).abs() < 1e-12);
-        // drift is recorded on the chain and only the chain
-        for id in 0..t.num_nodes() as NodeId {
-            if chain.contains(&id) {
-                assert!((t.drift(id) - 0.5).abs() < 1e-12, "node {id} missing drift");
-            } else {
-                assert_eq!(t.drift(id), 0.0, "node {id} spuriously dirty");
-            }
-        }
         t.validate().unwrap();
-    }
-
-    #[test]
-    fn drift_accumulates_across_refits() {
-        let pts = cloud(300, 11);
-        let mut t = Octree::build(&pts, 8);
-        let mut s = RefitScratch::default();
-        let mut moved = pts.clone();
-        moved[3] += Vec3::new(0.2, 0.0, 0.0);
-        t.refit_with(&moved, &mut s);
-        moved[3] += Vec3::new(0.0, 0.3, 0.0);
-        t.refit_with(&moved, &mut s);
-        // root drift = 0.2 + 0.3 (sum of per-frame maxima ≥ total motion)
-        assert!((t.drift(Octree::ROOT) - 0.5).abs() < 1e-12);
-        t.reset_drift();
-        assert_eq!(t.drift(Octree::ROOT), 0.0);
     }
 
     #[test]

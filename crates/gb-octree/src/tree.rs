@@ -20,12 +20,6 @@ pub struct Octree {
     /// Cubified root bounding box.
     pub(crate) bbox: Aabb,
     pub(crate) leaf_cap: usize,
-    /// Per-node accumulated maximum point displacement since the tree was
-    /// built (Å), maintained by [`Octree::refit_with`]. Empty (= all zero)
-    /// for a freshly built tree. Monotone non-decreasing, which is what
-    /// lets stale walk certificates bound how far any summary can have
-    /// drifted since they were recorded.
-    pub(crate) cum_disp: Vec<f64>,
 }
 
 impl Octree {
@@ -111,16 +105,6 @@ impl Octree {
         self.leaf_cap
     }
 
-    /// Accumulated maximum displacement of any point beneath `id` since the
-    /// tree was built (Å) — zero for a never-refitted tree. Monotone
-    /// non-decreasing across [`Octree::refit_with`] calls, and an upper
-    /// bound on how far the node's centroid can have moved (its radius and
-    /// leaf-radius aggregates can have changed by at most twice this).
-    #[inline]
-    pub fn drift(&self, id: NodeId) -> f64 {
-        self.cum_disp.get(id as usize).copied().unwrap_or(0.0)
-    }
-
     /// Maximum node depth present in the tree.
     pub fn max_depth(&self) -> u8 {
         self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
@@ -162,7 +146,6 @@ impl Octree {
             + self.points.capacity() * std::mem::size_of::<Vec3>()
             + self.order.capacity() * std::mem::size_of::<u32>()
             + self.leaves.capacity() * std::mem::size_of::<NodeId>()
-            + self.cum_disp.capacity() * std::mem::size_of::<f64>()
     }
 
     /// Internal consistency check used by tests and `debug_assert`s:

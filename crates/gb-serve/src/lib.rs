@@ -258,6 +258,10 @@ fn scheduler_loop(shared: Arc<Shared>) {
     }
 }
 
+/// A docking pose with its resolved receptor and ligand monomers, and
+/// whether both hit tier 1 and tier 2 of the cache.
+type DockingJob = (Pending, Arc<Monomer>, Arc<Monomer>, bool, bool);
+
 /// Processes one drained batch: singles as a fused cluster superstep,
 /// docking poses through the pair path, all cache tiers consulted per the
 /// config.
@@ -288,7 +292,7 @@ fn run_cycle(
     // resolve docking monomers before anything replies: stats (including
     // cache counters) must be current by the time a tenant can observe
     // its outcome, so `stats()` right after `wait()` is never stale
-    let docking: Vec<(Pending, Arc<Monomer>, Arc<Monomer>, bool, bool)> = docking
+    let docking: Vec<DockingJob> = docking
         .into_iter()
         .map(|p| {
             let EvalRequest::Docking { receptor, ligand, params, .. } = &p.request else {

@@ -2,28 +2,24 @@
 //! end to end, and the bench behind `BENCH_trajectory.json` and the
 //! `GB_BENCH_TRAJECTORY` perf-smoke gate.
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! 1. **Tree update** (absorbed from the old `md_refit` example): per-step
 //!    octree refit vs. a cutoff neighbour list rebuilt every step — the
 //!    paper's §II octree-vs-nblist update argument.
-//! 2. **Warm frames**: the full pipeline stepped with
-//!    `run_frame_shared` (slack-margin refit + cert-driven list repair +
-//!    execution over one warm workspace) against the full-rebuild baseline
-//!    (`GbSystem::prepare` from scratch + run, per frame). In exact mode
-//!    (`drift_tol = 0`) every frame's energy must be `to_bits()`-identical
-//!    to a cold scratch run over the same refitted system.
-//! 3. **Slack sweep**: `drift_tol` ∈ {0.1, 0.5, 2.0} replaying the same
-//!    trajectory — re-walked row fraction falls monotonically with the
-//!    tolerance while the energy drifts only within the approximation
-//!    band.
+//! 2. **Warm frames**: the full pipeline stepped with `run_frame_shared`
+//!    (in-place refit, list rebuild and execution over one warm workspace)
+//!    against the full-rebuild baseline (`GbSystem::prepare` from scratch
+//!    and a run, per frame) and a warm-workspace full run. Every frame's
+//!    energy must be `to_bits()`-identical to a cold scratch run over the
+//!    same refitted system.
 //!
 //! ```text
 //! cargo run --release --example trajectory [n_atoms] [frames] > BENCH_trajectory.json
 //! ```
 
 use gb_polarize::baselines::NbList;
-use gb_polarize::core::arena::{ListPath, Workspace};
+use gb_polarize::core::arena::Workspace;
 use gb_polarize::core::runners::shared::{run_shared, run_shared_ws};
 use gb_polarize::geom::{DetRng, Vec3};
 use gb_polarize::octree::Octree;
@@ -48,50 +44,6 @@ fn molecule_at(template: &Molecule, positions: &[Vec3]) -> Molecule {
         })
         .collect();
     Molecule::from_atoms(template.name.as_str(), atoms)
-}
-
-struct FrameRow {
-    incr_ms: f64,
-    energy: f64,
-    born_rewalk: f64,
-    rebuilt: bool,
-}
-
-/// Steps one system/workspace pair through the trajectory, returning one
-/// row per frame. The trajectory is regenerated from `seed` so every
-/// tolerance replays identical coordinates.
-fn run_trajectory(
-    template: &Molecule,
-    params: GbParams,
-    frames: usize,
-    drift_tol: f64,
-    seed: u64,
-) -> Vec<FrameRow> {
-    let mut sys = GbSystem::prepare(template.clone(), params);
-    let mut ws = Workspace::new();
-    ws.enable_frame_tracking(drift_tol);
-    run_shared_ws(&sys, &mut ws); // frame 0: tracked cold build
-    let mut positions = template.positions().to_vec();
-    let mut rng = DetRng::new(seed);
-    let mut rows = Vec::with_capacity(frames);
-    for _ in 0..frames {
-        jitter_in_place(&mut positions, &mut rng);
-        let t0 = Instant::now();
-        let out = run_frame_shared(&mut sys, &positions, drift_tol, &mut ws);
-        let incr_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let rebuilt = matches!(out.update, FrameUpdate::Rebuilt);
-        rows.push(FrameRow {
-            incr_ms,
-            energy: out.output.energy_kcal,
-            born_rewalk: if ws.last_born_path == ListPath::Repaired {
-                ws.last_born_repair.rewalk_fraction()
-            } else {
-                1.0
-            },
-            rebuilt,
-        });
-    }
-    rows
 }
 
 fn main() {
@@ -130,7 +82,7 @@ fn main() {
     }
     let nblist_ms = t0.elapsed().as_secs_f64() * 1e3 / frames as f64;
 
-    // ---- Section 2: exact-mode warm frames vs full rebuild per frame.
+    // ---- Section 2: warm frames vs full rebuild per frame.
     let t0 = Instant::now();
     let mut sys = GbSystem::prepare(template.clone(), params);
     let prepare_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -147,9 +99,6 @@ fn main() {
     let mut full_warm_ms_total = 0.0;
     let mut exact_bitwise = true;
     let mut frames_rebuilt = 0usize;
-    let mut born_rewalk_sum = 0.0;
-    let mut energy_rewalk_sum = 0.0;
-    let mut exact_energies = Vec::with_capacity(frames);
     for _ in 0..frames {
         jitter_in_place(&mut positions, &mut rng);
 
@@ -159,14 +108,6 @@ fn main() {
         if matches!(out.update, FrameUpdate::Rebuilt) {
             frames_rebuilt += 1;
         }
-        if ws.last_born_path == ListPath::Repaired {
-            born_rewalk_sum += ws.last_born_repair.rewalk_fraction();
-            energy_rewalk_sum += ws.last_energy_repair.rewalk_fraction();
-        } else {
-            born_rewalk_sum += 1.0;
-            energy_rewalk_sum += 1.0;
-        }
-        exact_energies.push(out.output.energy_kcal);
 
         // Full-rebuild baseline: prepare the frame's coordinates from
         // scratch (surface sample, trees, permutations) and run through the
@@ -179,14 +120,14 @@ fn main() {
         full_ms_total += t0.elapsed().as_secs_f64() * 1e3;
         // Second, more charitable baseline column: the same from-scratch
         // run but over one warm workspace reused across frames (no prepare
-        // in the timer) — isolates how much of the win is the list/cert
-        // machinery vs. just avoiding prepare + cold allocation.
+        // in the timer) — isolates how much of the win is the refit vs.
+        // just avoiding prepare + cold allocation.
         let t0 = Instant::now();
         run_shared_ws(&frame_sys, &mut baseline_ws);
         full_warm_ms_total += t0.elapsed().as_secs_f64() * 1e3;
 
-        // Bitwise gate: scratch list rebuild over the *same* refitted
-        // system must reproduce the repaired pipeline exactly.
+        // Bitwise gate: a cold workspace over the *same* refitted system
+        // must reproduce the warm frame exactly.
         let scratch = run_shared_ws(&sys, &mut Workspace::new());
         exact_bitwise &=
             scratch.energy_kcal.to_bits() == out.output.energy_kcal.to_bits();
@@ -194,23 +135,6 @@ fn main() {
     let incr_ms = incr_ms_total / frames as f64;
     let full_ms = full_ms_total / frames as f64;
     let full_warm_ms = full_warm_ms_total / frames as f64;
-
-    // ---- Section 3: slack sweep over the same trajectory.
-    let tols = [0.1f64, 0.5, 2.0];
-    let mut slack_rows = Vec::new();
-    for &tol in &tols {
-        let rows = run_trajectory(&template, params, frames, tol, seed);
-        let n = rows.len() as f64;
-        let rewalk = rows.iter().map(|r| r.born_rewalk).sum::<f64>() / n;
-        let ms = rows.iter().map(|r| r.incr_ms).sum::<f64>() / n;
-        let drift = rows
-            .iter()
-            .zip(&exact_energies)
-            .map(|(r, &e)| ((r.energy - e) / e).abs())
-            .fold(0.0f64, f64::max);
-        let rebuilt = rows.iter().filter(|r| r.rebuilt).count();
-        slack_rows.push((tol, rewalk, drift, ms, rebuilt));
-    }
 
     // ---- JSON report (stdout; progress went nowhere — keep it parseable).
     println!("{{");
@@ -231,22 +155,7 @@ fn main() {
     println!("    \"full_run_warm_ws_ms_per_frame\": {full_warm_ms:.3},");
     println!("    \"warm_speedup\": {:.3},", full_ms / incr_ms);
     println!("    \"frames_rebuilt\": {frames_rebuilt},");
-    println!("    \"born_rewalk_fraction_mean\": {:.4},", born_rewalk_sum / frames as f64);
-    println!(
-        "    \"energy_rewalk_fraction_mean\": {:.4},",
-        energy_rewalk_sum / frames as f64
-    );
     println!("    \"exact_bitwise\": {exact_bitwise}");
-    println!("  }},");
-    println!("  \"slack\": [");
-    for (i, (tol, rewalk, drift, ms, rebuilt)) in slack_rows.iter().enumerate() {
-        let comma = if i + 1 < slack_rows.len() { "," } else { "" };
-        println!(
-            "    {{\"drift_tol\": {tol}, \"born_rewalk_fraction\": {rewalk:.4}, \
-             \"max_rel_energy_drift\": {drift:.3e}, \"ms_per_frame\": {ms:.3}, \
-             \"frames_rebuilt\": {rebuilt}}}{comma}"
-        );
-    }
-    println!("  ]");
+    println!("  }}");
     println!("}}");
 }

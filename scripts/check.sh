@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
-# Full pre-merge check: release build, test suite, lints.
+# Full pre-merge check: release build, every crate's tests, the benchmark
+# crate's compile surface and tests, lints.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test -q --workspace
+# perfbench/ is a cargo package of its own (not a workspace member) that
+# calls the library's public API; compiling and testing it here makes a
+# library edit that breaks the benchmark fail the check.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
 # Exercise the portable SIMD fallback too: GB_SIMD=portable forces the
 # autovectorizable scalar-lane path even on AVX2 hosts, so both dispatch
 # targets stay green (the gb-core unit tests assert they agree bitwise).
